@@ -47,20 +47,17 @@ def migration_cost_bytes(X_new: np.ndarray, X_old: np.ndarray, state_bytes: np.n
     """C(X | X~) = sum_j sum_i max(0, s_j x~_ij / X~_j - s_j x_ij / X_j)."""
     X_new = np.asarray(X_new, dtype=float)
     X_old = np.asarray(X_old, dtype=float)
+    s = np.asarray(state_bytes, dtype=float)
     tot_new = X_new.sum(axis=0)
     tot_old = X_old.sum(axis=0)
-    cost = 0.0
-    for j in range(X_new.shape[1]):
-        if tot_old[j] <= 0:
-            continue
-        old_share = state_bytes[j] * X_old[:, j] / tot_old[j]
-        new_share = (
-            state_bytes[j] * X_new[:, j] / tot_new[j]
-            if tot_new[j] > 0
-            else np.zeros_like(old_share)
-        )
-        cost += np.maximum(0.0, old_share - new_share).sum()
-    return float(cost)
+    # Executors without an old core cost nothing (old share 0); one
+    # without a new core has a zero new share.
+    old_share = np.divide(s * X_old, tot_old, out=np.zeros_like(X_old), where=tot_old > 0)
+    new_share = np.divide(s * X_new, tot_new, out=np.zeros_like(X_new), where=tot_new > 0)
+    # Per-executor sums over contiguous rows, then a left-to-right sum
+    # over executors: the same additions in the same order as a loop.
+    per_exec = np.ascontiguousarray(np.maximum(0.0, old_share - new_share).T).sum(axis=1)
+    return float(np.add.accumulate(per_exec)[-1]) if per_exec.size else 0.0
 
 
 def _alloc_cost(s_j: float, X_j: float, x_ij: float) -> float:

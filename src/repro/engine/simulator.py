@@ -67,7 +67,8 @@ class OpRuntime:
 
     ``tasks_node[t]`` is the node hosting task ``t``; ``tasks_exec[t]``
     the elastic executor owning it (for static/RC, task == executor).
-    ``shard_assign[s]`` maps operator-global shard → task.  Queues and
+    ``shard_assign[s]`` maps operator-global shard → task; in the EC
+    layout executor ``j`` owns shards ``j*z .. (j+1)*z - 1``.  Queues and
     residuals are in *tuples* (per-operator CPU cost is uniform, so
     work ∝ tuples).
     """
@@ -105,14 +106,6 @@ class OpRuntime:
     @property
     def n_tasks(self) -> int:
         return len(self.tasks_node)
-
-    def exec_shards(self, j: int) -> np.ndarray:
-        """Shard indices owned by executor ``j`` (EC layout: contiguous)."""
-        z = self.op.shards_per_executor
-        return np.arange(j * z, (j + 1) * z)
-
-    def exec_tasks(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.tasks_exec == j)
 
 
 class BaseSim:

@@ -36,6 +36,27 @@ class TestMigrationCost:
         s = np.array([100.0])
         assert migration_cost_bytes(X_new, X_old, s) == pytest.approx(50.0)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n=st.integers(min_value=1, max_value=40),
+        m=st.integers(min_value=1, max_value=80),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_per_executor_sum(self, seed, n, m):
+        # Executors with no old core, no new core, or neither included.
+        rng = np.random.default_rng(seed)
+        X_old = rng.integers(0, 4, (n, m)) * (rng.random((n, m)) < 0.3)
+        X_new = rng.integers(0, 4, (n, m)) * (rng.random((n, m)) < 0.3)
+        s = rng.random(m) * 1e6
+        expected = 0.0
+        for j in range(m):
+            if X_old[:, j].sum() > 0:
+                old = s[j] * X_old[:, j] / X_old[:, j].sum()
+                new = s[j] * X_new[:, j] / X_new[:, j].sum() if X_new[:, j].sum() else np.zeros(n)
+                expected += np.maximum(0.0, old - new).sum()
+        # the same additions in the same order: equal to the last bit
+        assert migration_cost_bytes(X_new, X_old, s) == expected
+
     def test_growth_on_same_node_free(self):
         X_old = np.array([[1], [0]])
         X_new = np.array([[3], [0]])
